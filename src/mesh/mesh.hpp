@@ -99,7 +99,9 @@ class VoronoiMesh {
   AlignedVector<Real> lat_cell, lon_cell;
   AlignedVector<Real> lat_edge, lon_edge;
   AlignedVector<Real> lat_vertex, lon_vertex;
-  AlignedVector<std::uint8_t> boundary_edge;  // all zero on the full sphere
+  /// Ids of the boundary edges, ascending (none on the full sphere), so a
+  /// kernel visits only these instead of scanning a mask of every edge.
+  std::vector<Index> boundary_edges;
 
   /// Unit normal / tangent of each edge in the local tangent plane.
   std::vector<Vec3> edge_normal;
@@ -128,7 +130,8 @@ class VoronoiMesh {
 
 /// Build the full Voronoi mesh (dual of `tri`) on a sphere of radius
 /// `sphere_radius` meters. This computes every connectivity and metric array
-/// above, including the TRiSK tangential-velocity reconstruction weights.
+/// above, including the TRiSK tangential-velocity reconstruction weights,
+/// and returns the entities in the Hilbert order of mesh/renumber.hpp.
 VoronoiMesh build_voronoi_mesh(const TriMesh& tri,
                                Real sphere_radius = constants::kEarthRadius);
 

@@ -12,28 +12,16 @@
 // and the kites tile the sphere, so total cell area == total triangle area
 // == 4*pi*R^2 to rounding error.
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_map>
+#include <vector>
 
 #include "mesh/mesh.hpp"
+#include "mesh/renumber.hpp"
 #include "mesh/trimesh.hpp"
 #include "util/error.hpp"
 
 namespace mpas::mesh {
-
-namespace {
-
-struct PairHash {
-  std::size_t operator()(const std::pair<Index, Index>& p) const {
-    return std::hash<std::uint64_t>()(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.first)) << 32) |
-        static_cast<std::uint32_t>(p.second));
-  }
-};
-
-using EdgeMap = std::unordered_map<std::pair<Index, Index>, Index, PairHash>;
-
-}  // namespace
 
 std::string resolution_label_for_level(int level) {
   switch (level) {
@@ -87,7 +75,7 @@ std::size_t VoronoiMesh::mesh_data_bytes() const {
   bytes += f_cell.size() * sizeof(Real);
   bytes += f_edge.size() * sizeof(Real);
   bytes += f_vertex.size() * sizeof(Real);
-  bytes += boundary_edge.size() * sizeof(std::uint8_t);
+  bytes += boundary_edges.size() * sizeof(Index);
   return bytes;
 }
 
@@ -95,6 +83,26 @@ std::size_t VoronoiMesh::mesh_data_bytes() const {
 // kite_areas_on_vertex and the kite-derived areas.
 void build_trisk_arrays(VoronoiMesh& m);
 
+namespace {
+
+// Latitude, longitude and Coriolis parameter of each point.
+void fill_geo(const std::vector<Vec3>& pts, AlignedVector<Real>& lat,
+              AlignedVector<Real>& lon, AlignedVector<Real>& f) {
+  const std::size_t n = pts.size();
+  lat.resize(n);
+  lon.resize(n);
+  f.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lat[i] = sphere::latitude(pts[i]);
+    lon[i] = sphere::longitude(pts[i]);
+    f[i] = 2.0 * constants::kOmega * std::sin(lat[i]);
+  }
+}
+
+}  // namespace
+
+// Connectivity, metrics and TRiSK arrays in the triangulation's order; the
+// point-wise lat/lon/Coriolis arrays are left to build_voronoi_mesh.
 VoronoiMesh build_voronoimesh_impl(const TriMesh& tri, Real radius) {
   VoronoiMesh m;
   m.sphere_radius = radius;
@@ -104,29 +112,41 @@ VoronoiMesh build_voronoimesh_impl(const TriMesh& tri, Real radius) {
   m.x_cell = tri.points;
 
   // --- edges: unique adjacent generator pairs, with their two triangles ----
-  EdgeMap edge_ids;
-  edge_ids.reserve(static_cast<std::size_t>(m.num_vertices) * 2);
+  // An edge is looked up from its lower-numbered generator: row a of
+  // `higher` holds the edges to a's higher-numbered neighbours met so far
+  // (at most kMaxEdges, the largest cell degree).
+  constexpr Index kMaxEdges = VoronoiMesh::kMaxEdges;
+  Array2D<Index> higher(m.num_cells, kMaxEdges, kInvalidIndex);
+  std::vector<std::array<Index, 3>> tri_edges(
+      static_cast<std::size_t>(m.num_vertices));
   std::vector<std::array<Index, 2>> edge_cells;
   std::vector<std::array<Index, 2>> edge_tris;
+  edge_cells.reserve(static_cast<std::size_t>(m.num_vertices) * 3 / 2);
+  edge_tris.reserve(edge_cells.capacity());
 
   for (Index t = 0; t < m.num_vertices; ++t) {
     const auto& tr = tri.triangles[t];
     for (int k = 0; k < 3; ++k) {
-      const Index a = tr[k];
-      const Index b = tr[(k + 1) % 3];
-      const auto key = std::minmax(a, b);
-      auto it = edge_ids.find(key);
-      if (it == edge_ids.end()) {
-        const Index e = static_cast<Index>(edge_cells.size());
-        edge_ids.emplace(key, e);
-        edge_cells.push_back({key.first, key.second});
+      const auto [a, b] = std::minmax(tr[k], tr[(k + 1) % 3]);
+      Index slot = 0;
+      while (slot < kMaxEdges && higher(a, slot) != kInvalidIndex &&
+             edge_cells[higher(a, slot)][1] != b)
+        ++slot;
+      MPAS_CHECK_MSG(slot < kMaxEdges,
+                     "cell " << a << " has more than " << kMaxEdges << " edges");
+      Index e = higher(a, slot);
+      if (e == kInvalidIndex) {
+        e = static_cast<Index>(edge_cells.size());
+        higher(a, slot) = e;
+        edge_cells.push_back({a, b});
         edge_tris.push_back({t, kInvalidIndex});
       } else {
-        auto& pair = edge_tris[it->second];
+        auto& pair = edge_tris[e];
         MPAS_CHECK_MSG(pair[1] == kInvalidIndex,
                        "non-manifold edge in triangulation");
         pair[1] = t;
       }
+      tri_edges[t][k] = e;
     }
   }
   m.num_edges = static_cast<Index>(edge_cells.size());
@@ -176,38 +196,40 @@ VoronoiMesh build_voronoimesh_impl(const TriMesh& tri, Real radius) {
   }
 
   // --- per-cell counterclockwise orderings ---------------------------------
-  std::vector<std::vector<Index>> cell_edges(m.num_cells);
-  for (Index e = 0; e < m.num_edges; ++e) {
-    cell_edges[m.cells_on_edge(e, 0)].push_back(e);
-    cell_edges[m.cells_on_edge(e, 1)].push_back(e);
-  }
-
-  m.n_edges_on_cell.resize(m.num_cells);
+  // Each cell's edges, unordered, straight into the padded rows; a degree
+  // past kMaxEdges is counted but not stored, and rejected below.
+  m.n_edges_on_cell.assign(static_cast<std::size_t>(m.num_cells), 0);
   m.edges_on_cell.resize(m.num_cells, VoronoiMesh::kMaxEdges, kInvalidIndex);
   m.cells_on_cell.resize(m.num_cells, VoronoiMesh::kMaxEdges, kInvalidIndex);
   m.vertices_on_cell.resize(m.num_cells, VoronoiMesh::kMaxEdges, kInvalidIndex);
   m.edge_sign_on_cell.resize(m.num_cells, VoronoiMesh::kMaxEdges, 0.0);
+  for (Index e = 0; e < m.num_edges; ++e)
+    for (int side = 0; side < 2; ++side) {
+      const Index c = m.cells_on_edge(e, side);
+      const Index slot = m.n_edges_on_cell[c]++;
+      if (slot < VoronoiMesh::kMaxEdges) m.edges_on_cell(c, slot) = e;
+    }
 
   for (Index c = 0; c < m.num_cells; ++c) {
-    auto& edges = cell_edges[c];
-    const Index deg = static_cast<Index>(edges.size());
+    const Index deg = m.n_edges_on_cell[c];
     MPAS_CHECK_MSG(deg >= 5 && deg <= VoronoiMesh::kMaxEdges,
                    "cell " << c << " has degree " << deg);
-    m.n_edges_on_cell[c] = deg;
 
+    // Sort by azimuth of the neighbour, each azimuth computed once.
     const Vec3 east = sphere::east_at(m.x_cell[c]);
     const Vec3 north = sphere::north_at(m.x_cell[c]);
-    auto azimuth = [&](Index e) {
+    std::array<std::pair<Real, Index>, VoronoiMesh::kMaxEdges> by_azimuth;
+    for (Index j = 0; j < deg; ++j) {
+      const Index e = m.edges_on_cell(c, j);
       const Index other = m.cells_on_edge(e, 0) == c ? m.cells_on_edge(e, 1)
                                                      : m.cells_on_edge(e, 0);
       const Vec3 d = m.x_cell[other] - m.x_cell[c];
-      return std::atan2(d.dot(north), d.dot(east));
-    };
-    std::sort(edges.begin(), edges.end(),
-              [&](Index a, Index b) { return azimuth(a) < azimuth(b); });
+      by_azimuth[j] = {std::atan2(d.dot(north), d.dot(east)), e};
+    }
+    std::sort(by_azimuth.begin(), by_azimuth.begin() + deg);
 
     for (Index j = 0; j < deg; ++j) {
-      const Index e = edges[j];
+      const Index e = by_azimuth[j].second;
       m.edges_on_cell(c, j) = e;
       m.cells_on_cell(c, j) = m.cells_on_edge(e, 0) == c
                                   ? m.cells_on_edge(e, 1)
@@ -238,21 +260,26 @@ VoronoiMesh build_voronoimesh_impl(const TriMesh& tri, Real radius) {
   m.edge_sign_on_vertex.resize(m.num_vertices, VoronoiMesh::kVertexDegree, 0.0);
 
   for (Index v = 0; v < m.num_vertices; ++v) {
-    std::array<Index, 3> cells = tri.triangles[v];
     const Vec3 east = sphere::east_at(m.x_vertex[v]);
     const Vec3 north = sphere::north_at(m.x_vertex[v]);
-    auto azimuth = [&](Index c) {
-      const Vec3 d = m.x_cell[c] - m.x_vertex[v];
-      return std::atan2(d.dot(north), d.dot(east));
-    };
-    std::sort(cells.begin(), cells.end(),
-              [&](Index a, Index b) { return azimuth(a) < azimuth(b); });
+    std::array<std::pair<Real, Index>, 3> by_azimuth;
     for (int j = 0; j < 3; ++j) {
-      m.cells_on_vertex(v, j) = cells[j];
-      const auto key = std::minmax(cells[j], cells[(j + 1) % 3]);
-      auto it = edge_ids.find(key);
-      MPAS_CHECK_MSG(it != edge_ids.end(), "missing edge between vertex cells");
-      m.edges_on_vertex(v, j) = it->second;
+      const Index c = tri.triangles[v][j];
+      const Vec3 d = m.x_cell[c] - m.x_vertex[v];
+      by_azimuth[j] = {std::atan2(d.dot(north), d.dot(east)), c};
+    }
+    std::sort(by_azimuth.begin(), by_azimuth.end());
+    for (int j = 0; j < 3; ++j) m.cells_on_vertex(v, j) = by_azimuth[j].second;
+    // edges_on_vertex(v, j) joins cells j and j+1: one of the triangle's
+    // three edges.
+    for (int j = 0; j < 3; ++j) {
+      const auto [a, b] =
+          std::minmax(m.cells_on_vertex(v, j), m.cells_on_vertex(v, (j + 1) % 3));
+      Index found = kInvalidIndex;
+      for (const Index e : tri_edges[v])
+        if (edge_cells[e][0] == a && edge_cells[e][1] == b) found = e;
+      MPAS_CHECK_MSG(found != kInvalidIndex, "missing edge between vertex cells");
+      m.edges_on_vertex(v, j) = found;
     }
     // Sign: +1 when the edge normal points counterclockwise around v.
     for (int j = 0; j < 3; ++j) {
@@ -263,25 +290,6 @@ VoronoiMesh build_voronoimesh_impl(const TriMesh& tri, Real radius) {
     }
   }
 
-  // --- latitude/longitude and Coriolis -------------------------------------
-  auto fill_geo = [](const std::vector<Vec3>& pts, AlignedVector<Real>& lat,
-                     AlignedVector<Real>& lon, AlignedVector<Real>& f) {
-    const std::size_t n = pts.size();
-    lat.resize(n);
-    lon.resize(n);
-    f.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      lat[i] = sphere::latitude(pts[i]);
-      lon[i] = sphere::longitude(pts[i]);
-      f[i] = 2.0 * constants::kOmega * std::sin(lat[i]);
-    }
-  };
-  fill_geo(m.x_cell, m.lat_cell, m.lon_cell, m.f_cell);
-  fill_geo(m.x_edge, m.lat_edge, m.lon_edge, m.f_edge);
-  fill_geo(m.x_vertex, m.lat_vertex, m.lon_vertex, m.f_vertex);
-
-  m.boundary_edge.assign(static_cast<std::size_t>(m.num_edges), 0);
-
   // --- kite areas, cell/triangle areas, TRiSK weights ----------------------
   build_trisk_arrays(m);
   return m;
@@ -290,7 +298,15 @@ VoronoiMesh build_voronoimesh_impl(const TriMesh& tri, Real radius) {
 VoronoiMesh build_voronoi_mesh(const TriMesh& tri, Real sphere_radius) {
   MPAS_CHECK(tri.num_points() >= 12);
   MPAS_CHECK(sphere_radius > 0);
-  return build_voronoimesh_impl(tri, sphere_radius);
+  VoronoiMesh m = build_voronoimesh_impl(tri, sphere_radius);
+  const MeshOrder order = hilbert_order(m);
+  renumber(m, order.cell, order.edge, order.vertex);
+  // Functions of one point each: computed in the final order rather than
+  // moved there.
+  fill_geo(m.x_cell, m.lat_cell, m.lon_cell, m.f_cell);
+  fill_geo(m.x_edge, m.lat_edge, m.lon_edge, m.f_edge);
+  fill_geo(m.x_vertex, m.lat_vertex, m.lon_vertex, m.f_vertex);
+  return m;
 }
 
 }  // namespace mpas::mesh

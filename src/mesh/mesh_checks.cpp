@@ -26,6 +26,10 @@ void VoronoiMesh::validate(bool strict) const {
   MPAS_CHECK(vertices_on_edge.rows() == num_edges);
   MPAS_CHECK(edges_on_cell.rows() == num_cells);
   MPAS_CHECK(cells_on_vertex.rows() == num_vertices);
+  for (std::size_t i = 0; i < boundary_edges.size(); ++i)
+    MPAS_CHECK_MSG(boundary_edges[i] >= 0 && boundary_edges[i] < num_edges &&
+                       (i == 0 || boundary_edges[i - 1] < boundary_edges[i]),
+                   "boundary_edges must be ascending edge ids");
 
   Index pentagons = 0;
   for (Index c = 0; c < num_cells; ++c) {

@@ -10,66 +10,35 @@ namespace mpas::mesh {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'P', 'A', 'S', 'M', 'S', 'H', '1'};
-// Version 5 added the FNV-1a payload checksum after the version word, so a
+// Version 5 added the payload checksum after the version word, so a
 // bit-flipped or truncated cache file is detected on load instead of
-// producing silently wrong connectivity.
-constexpr std::uint32_t kVersion = 5;
+// producing silently wrong connectivity. Version 6 hashes 8-byte words
+// instead of single bytes, and its meshes are in the Hilbert entity order
+// of mesh/renumber.hpp: a version-5 file is rebuilt, never reinterpreted.
+constexpr std::uint32_t kVersion = 6;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/// Streambuf tee that FNV-1a-hashes every byte written through it.
-class HashingOutBuf : public std::streambuf {
+/// FNV-1a over 8-byte words (a tail shorter than a word is mixed byte by
+/// byte). Each step h = (h ^ w) * prime is a bijection in both h and w, so
+/// any change to a single word always changes the hash.
+class WordHash {
  public:
-  explicit HashingOutBuf(std::streambuf* inner) : inner_(inner) {}
-  [[nodiscard]] std::uint64_t hash() const { return hash_; }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (traits_type::eq_int_type(ch, traits_type::eof())) return 0;
-    mix(traits_type::to_char_type(ch));
-    return inner_->sputc(traits_type::to_char_type(ch));
+  void mix(const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::uint64_t h = hash_;
+    for (; bytes >= sizeof(std::uint64_t); bytes -= sizeof(std::uint64_t)) {
+      std::uint64_t word;
+      std::memcpy(&word, p, sizeof word);
+      h = (h ^ word) * kPrime;
+      p += sizeof word;
+    }
+    for (; bytes > 0; --bytes) h = (h ^ *p++) * kPrime;
+    hash_ = h;
   }
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) mix(s[i]);
-    return inner_->sputn(s, n);
-  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
-  void mix(char c) {
-    hash_ = (hash_ ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-  std::streambuf* inner_;
-  std::uint64_t hash_ = kFnvOffset;
-};
-
-/// Streambuf tee that hashes every byte *consumed* through it (peeks via
-/// underflow are not consumed and not hashed).
-class HashingInBuf : public std::streambuf {
- public:
-  explicit HashingInBuf(std::streambuf* inner) : inner_(inner) {}
-  [[nodiscard]] std::uint64_t hash() const { return hash_; }
-
- protected:
-  int_type underflow() override { return inner_->sgetc(); }
-  int_type uflow() override {
-    const int_type c = inner_->sbumpc();
-    if (!traits_type::eq_int_type(c, traits_type::eof()))
-      mix(traits_type::to_char_type(c));
-    return c;
-  }
-  std::streamsize xsgetn(char* s, std::streamsize n) override {
-    const std::streamsize got = inner_->sgetn(s, n);
-    for (std::streamsize i = 0; i < got; ++i) mix(s[i]);
-    return got;
-  }
-
- private:
-  void mix(char c) {
-    hash_ = (hash_ ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-  std::streambuf* inner_;
-  std::uint64_t hash_ = kFnvOffset;
+  static constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
 template <class T>
@@ -85,13 +54,31 @@ T read_pod(std::istream& is) {
   return value;
 }
 
+/// Payload writer: every byte written is also hashed, one array at a time.
+struct WriteCtx {
+  std::ostream& os;
+  WordHash hash;
+
+  void put(const void* data, std::size_t bytes) {
+    hash.mix(data, bytes);
+    os.write(static_cast<const char*>(data),
+             static_cast<std::streamsize>(bytes));
+  }
+  template <class T>
+  void pod(const T& value) {
+    put(&value, sizeof(T));
+  }
+};
+
 /// Payload reader with a byte budget: every element count read from the
 /// file is bounds-checked against the bytes actually remaining *before*
 /// any resize, so a truncated or bit-rotted length word fails closed
-/// instead of demanding a multi-gigabyte allocation.
+/// instead of demanding a multi-gigabyte allocation. Every byte read is
+/// hashed.
 struct ReadCtx {
   std::istream& is;
   std::uint64_t budget;  // payload bytes left in the file
+  WordHash hash;
 
   void take(std::uint64_t bytes) {
     MPAS_CHECK_MSG(bytes <= budget,
@@ -108,21 +95,28 @@ struct ReadCtx {
                        << budget << " bytes remain");
     budget -= count * elem_size;
   }
+
+  /// Read `bytes` already taken from the budget.
+  void get(void* data, std::size_t bytes) {
+    is.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
+    MPAS_CHECK_MSG(is.good(), "unexpected end of mesh file");
+    hash.mix(data, bytes);
+  }
 };
 
 template <class T>
 T read_pod(ReadCtx& ctx) {
   ctx.take(sizeof(T));
-  return read_pod<T>(ctx.is);
+  T value;
+  ctx.get(&value, sizeof(T));
+  return value;
 }
 
 template <class Vec>
-void write_vector(std::ostream& os, const Vec& v) {
+void write_vector(WriteCtx& ctx, const Vec& v) {
   const std::uint64_t n = v.size();
-  write_pod(os, n);
-  if (n)
-    os.write(reinterpret_cast<const char*>(v.data()),
-             static_cast<std::streamsize>(n * sizeof(typename Vec::value_type)));
+  ctx.pod(n);
+  if (n) ctx.put(v.data(), n * sizeof(typename Vec::value_type));
 }
 
 template <class Vec>
@@ -130,21 +124,14 @@ void read_vector(ReadCtx& ctx, Vec& v) {
   const auto n = read_pod<std::uint64_t>(ctx);
   ctx.take_elems(n, sizeof(typename Vec::value_type));  // before the resize
   v.resize(n);
-  if (n) {
-    ctx.is.read(
-        reinterpret_cast<char*>(v.data()),
-        static_cast<std::streamsize>(n * sizeof(typename Vec::value_type)));
-    MPAS_CHECK_MSG(ctx.is.good(), "unexpected end of mesh file");
-  }
+  if (n) ctx.get(v.data(), n * sizeof(typename Vec::value_type));
 }
 
 template <class T>
-void write_array2d(std::ostream& os, const Array2D<T>& a) {
-  write_pod(os, static_cast<std::int64_t>(a.rows()));
-  write_pod(os, static_cast<std::int64_t>(a.cols()));
-  if (a.size())
-    os.write(reinterpret_cast<const char*>(a.data()),
-             static_cast<std::streamsize>(a.size() * sizeof(T)));
+void write_array2d(WriteCtx& ctx, const Array2D<T>& a) {
+  ctx.pod(static_cast<std::int64_t>(a.rows()));
+  ctx.pod(static_cast<std::int64_t>(a.cols()));
+  if (a.size()) ctx.put(a.data(), a.size() * sizeof(T));
 }
 
 template <class T>
@@ -161,19 +148,15 @@ void read_array2d(ReadCtx& ctx, Array2D<T>& a) {
                      << " array but only " << ctx.budget << " bytes remain");
   ctx.budget -= rows_u * cols_u * sizeof(T);
   a.resize(static_cast<Index>(rows), static_cast<Index>(cols));
-  if (a.size()) {
-    ctx.is.read(reinterpret_cast<char*>(a.data()),
-                static_cast<std::streamsize>(a.size() * sizeof(T)));
-    MPAS_CHECK_MSG(ctx.is.good(), "unexpected end of mesh file");
-  }
+  if (a.size()) ctx.get(a.data(), a.size() * sizeof(T));
 }
 
-void write_payload(std::ostream& os, const VoronoiMesh& m) {
-  write_pod(os, m.num_cells);
-  write_pod(os, m.num_edges);
-  write_pod(os, m.num_vertices);
-  write_pod(os, m.sphere_radius);
-  write_pod(os, static_cast<std::int32_t>(m.subdivision_level));
+void write_payload(WriteCtx& os, const VoronoiMesh& m) {
+  os.pod(m.num_cells);
+  os.pod(m.num_edges);
+  os.pod(m.num_vertices);
+  os.pod(m.sphere_radius);
+  os.pod(static_cast<std::int32_t>(m.subdivision_level));
 
   write_vector(os, m.x_cell);
   write_vector(os, m.x_edge);
@@ -206,7 +189,7 @@ void write_payload(std::ostream& os, const VoronoiMesh& m) {
   write_vector(os, m.lon_edge);
   write_vector(os, m.lat_vertex);
   write_vector(os, m.lon_vertex);
-  write_vector(os, m.boundary_edge);
+  write_vector(os, m.boundary_edges);
   write_vector(os, m.edge_normal);
   write_vector(os, m.edge_tangent);
   write_vector(os, m.global_cell_id);
@@ -252,7 +235,7 @@ void read_payload(ReadCtx& ctx, VoronoiMesh& m) {
   read_vector(ctx, m.lon_edge);
   read_vector(ctx, m.lat_vertex);
   read_vector(ctx, m.lon_vertex);
-  read_vector(ctx, m.boundary_edge);
+  read_vector(ctx, m.boundary_edges);
   read_vector(ctx, m.edge_normal);
   read_vector(ctx, m.edge_tangent);
   read_vector(ctx, m.global_cell_id);
@@ -270,14 +253,10 @@ void save_mesh(const VoronoiMesh& m, const std::string& path) {
   const std::streampos checksum_pos = os.tellp();
   write_pod(os, std::uint64_t{0});  // patched with the payload hash below
 
-  std::uint64_t checksum = 0;
-  {
-    HashingOutBuf hashing(os.rdbuf());
-    std::ostream payload(&hashing);
-    write_payload(payload, m);
-    MPAS_CHECK_MSG(payload.good(), "write failure on '" << path << "'");
-    checksum = hashing.hash();
-  }
+  WriteCtx payload{os, {}};
+  write_payload(payload, m);
+  MPAS_CHECK_MSG(os.good(), "write failure on '" << path << "'");
+  const std::uint64_t checksum = payload.hash.value();
   os.seekp(checksum_pos);
   write_pod(os, checksum);
   os.flush();
@@ -305,15 +284,13 @@ VoronoiMesh load_mesh(const std::string& path) {
   const auto expected = read_pod<std::uint64_t>(is);
 
   VoronoiMesh m;
-  HashingInBuf hashing(is.rdbuf());
-  std::istream payload(&hashing);
-  ReadCtx ctx{payload, static_cast<std::uint64_t>(file_size - kHeaderBytes)};
+  ReadCtx ctx{is, static_cast<std::uint64_t>(file_size - kHeaderBytes), {}};
   read_payload(ctx, m);
   // Every payload byte must be consumed (trailing garbage is corruption
   // too) and must hash to what the writer recorded.
-  MPAS_CHECK_MSG(payload.peek() == std::istream::traits_type::eof(),
+  MPAS_CHECK_MSG(ctx.budget == 0,
                  "mesh file '" << path << "' has trailing bytes");
-  MPAS_CHECK_MSG(hashing.hash() == expected,
+  MPAS_CHECK_MSG(ctx.hash.value() == expected,
                  "mesh file '" << path << "' failed its checksum (corrupt?)");
 
   m.validate(/*strict=*/false);

@@ -88,7 +88,6 @@ void fill_local_arrays(const mesh::VoronoiMesh& g, LocalMesh& lm,
   m.f_edge.resize(edges.size());
   m.lat_edge.resize(edges.size());
   m.lon_edge.resize(edges.size());
-  m.boundary_edge.resize(edges.size());
   m.edge_normal.resize(edges.size());
   m.edge_tangent.resize(edges.size());
   for (Index i = 0; i < m.num_edges; ++i) {
@@ -99,7 +98,9 @@ void fill_local_arrays(const mesh::VoronoiMesh& g, LocalMesh& lm,
     m.f_edge[i] = g.f_edge[ge];
     m.lat_edge[i] = g.lat_edge[ge];
     m.lon_edge[i] = g.lon_edge[ge];
-    m.boundary_edge[i] = g.boundary_edge[ge];
+    if (std::binary_search(g.boundary_edges.begin(), g.boundary_edges.end(),
+                           ge))
+      m.boundary_edges.push_back(i);  // ascending: i increases
     m.edge_normal[i] = g.edge_normal[ge];
     m.edge_tangent[i] = g.edge_tangent[ge];
     for (int k = 0; k < 2; ++k) {

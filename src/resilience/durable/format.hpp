@@ -28,7 +28,11 @@
 
 namespace mpas::resilience::durable {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Slots hold fields in mesh entity order. Version 2 marks images written
+/// on the Hilbert-ordered meshes (mesh/renumber.hpp): a version-1 image
+/// holds the same values in the old order, would restore scrambled and
+/// still match its restore hash, so it is rejected like any other damage.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// One saved array: whatever the producer indexes by (the service codec
 /// uses rank 0 and FieldId slots).

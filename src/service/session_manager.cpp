@@ -374,7 +374,7 @@ void SessionManager::run_one(std::uint64_t id) {
       // A session the journal just marked terminal can never be recovered:
       // its checkpoint generations are dead weight. File I/O, so strictly
       // after the lock.
-      if (rec.durable != nullptr) rec.durable->retire();
+      retire_durable(rec);
       flush_flight_dumps();
       return;
     } catch (const TransientError& e) {
@@ -416,7 +416,7 @@ void SessionManager::run_one(std::uint64_t id) {
         }
       }
       if (terminal) {
-        if (rec.durable != nullptr) rec.durable->retire();
+        retire_durable(rec);
         flush_flight_dumps();
         return;
       }
@@ -434,11 +434,19 @@ void SessionManager::run_one(std::uint64_t id) {
         finish_locked(rec, SessionState::Failed, os.str(),
                       ReasonCode::SessionFault);
       }
-      if (rec.durable != nullptr) rec.durable->retire();
+      retire_durable(rec);
       flush_flight_dumps();
       return;
     }
   }
+}
+
+void SessionManager::retire_durable(Record& rec) {
+  if (rec.durable == nullptr) return;
+  rec.durable->retire();
+  // The record outlives the session (results stay queryable); the
+  // checkpointer must not: it owns a writer thread and staging buffers.
+  rec.durable.reset();
 }
 
 void SessionManager::finish_locked(Record& rec, SessionState state,

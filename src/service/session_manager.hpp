@@ -172,6 +172,10 @@ class SessionManager {
 
   void worker_loop(int worker_index);
   void run_one(std::uint64_t id);
+  /// A terminal session's checkpointer: retire its chain, then free it
+  /// (writer thread, staging buffers). File I/O and a thread join, so never
+  /// under mutex_.
+  void retire_durable(Record& rec) MPAS_EXCLUDES(mutex_);
   /// The locked core of submit(); the public wrapper flushes any flight
   /// dumps a shed verdict queued.
   std::uint64_t submit_locked(SessionRequest request,

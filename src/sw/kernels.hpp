@@ -113,8 +113,9 @@ void tend_h_add_del2(const SwContext& ctx, Index begin, Index end);
 void tend_u_add_del2(const SwContext& ctx, Index begin, Index end);
 
 // ---- enforce_boundary_edge -------------------------------------------------
-// Zero the momentum tendency on boundary edges (a no-op on the full
-// sphere, kept for fidelity with Algorithm 1).                      [X]
+// Zero the momentum tendency on the boundary edges in [begin, end),
+// visiting only mesh.boundary_edges (none on the full sphere, so a no-op
+// there, kept for fidelity with Algorithm 1).                       [X]
 void enforce_boundary_edge(const SwContext& ctx, Index begin, Index end);
 
 // ---- compute_next_substep_state ---------------------------------------------

@@ -2,6 +2,8 @@
 // del^2 dissipation paths (the paper's d2fdx2 variables).
 #include "sw/kernels.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace mpas::sw {
@@ -128,8 +130,10 @@ void tend_u_add_del2(const SwContext& ctx, Index begin, Index end) {
 void enforce_boundary_edge(const SwContext& ctx, Index begin, Index end) {
   const auto& m = ctx.mesh;
   auto tend_u = ctx.fields.get(FieldId::TendU);
-  for (Index e = begin; e < end; ++e)
-    if (m.boundary_edge[e]) tend_u[e] = 0;
+  const auto first = std::lower_bound(m.boundary_edges.begin(),
+                                      m.boundary_edges.end(), begin);
+  for (auto it = first; it != m.boundary_edges.end() && *it < end; ++it)
+    tend_u[*it] = 0;
 }
 
 }  // namespace mpas::sw

@@ -189,6 +189,30 @@ TEST(DurableFormat, FabricatedCountsFailBeforeAllocation) {
   EXPECT_THROW(decode_checkpoint(bytes), Error);
 }
 
+TEST(DurableFormat, OtherVersionsFailClosedEvenWithAValidHeader) {
+  // A version-1 image was written in the old mesh entity order: its values
+  // would restore onto the wrong cells. Re-sealing the header checksum
+  // over the old version word must not get it past the reader.
+  auto bytes = flatten(small_image());
+  ASSERT_EQ(kFormatVersion, 2u);
+  for (const std::uint32_t version : {kFormatVersion - 1, kFormatVersion + 1}) {
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    std::uint64_t crc = 0xcbf29ce484222325ull;  // FNV-1a, bytes 8..40
+    for (std::size_t i = 8; i < 40; ++i) {
+      crc ^= bytes[i];
+      crc *= 0x100000001b3ull;
+    }
+    std::memcpy(bytes.data() + 40, &crc, sizeof(crc));
+    try {
+      decode_checkpoint(bytes);
+      ADD_FAILURE() << "version " << version << " decoded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DurableFormat, SlotSeqBindsStepRankAndSlot) {
   // A chunk transplanted from another (step, rank, slot) position must not
   // verify: the checksum seed differs in every coordinate.
@@ -765,6 +789,31 @@ TEST_F(ServiceRecovery, SecondRestartFindsNothingToRecover) {
   EXPECT_TRUE(replay.incomplete().empty());
   EXPECT_TRUE(replay.sessions.at({1, 1}).readmitted);
   EXPECT_FALSE(fs::exists(p.session_dir(1, 1)));
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST_F(ServiceRecovery, FinishedDurableSessionsLeaveNoThreadBehind) {
+  // Every durable session owns a checkpointer with a background writer
+  // thread; a finished session's must be freed, not kept with its record.
+  TempDir dir("threads");
+  SessionManager manager(options(policy(dir.path()), 2));
+  const auto run = [&] {
+    const std::uint64_t id = manager.submit(request());
+    ASSERT_TRUE(manager.drain());
+    EXPECT_EQ(manager.result(id).state, SessionState::Completed)
+        << manager.result(id).reason;
+  };
+  run();  // the mesh, the cost model and the workers are up from here on
+  const std::size_t baseline = thread_count();
+  for (int i = 0; i < 8; ++i) run();
+  EXPECT_EQ(thread_count(), baseline);
 }
 
 // The chaos scenario the whole layer exists for: a REAL SIGKILL lands on a

@@ -208,5 +208,33 @@ TEST(MeshIo, TruncationSweepFailsClosedEverywhere) {
   std::remove(cut.c_str());
 }
 
+// Bit-flip sweep: the checksum hashes 8-byte words, and one flipped bit
+// anywhere in the file — header, length words or any byte lane of the
+// array data — must still fail closed.
+TEST(MeshIo, BitFlipSweepFailsClosedEverywhere) {
+  const VoronoiMesh m = build_icosahedral_voronoi_mesh(1);
+  const std::string full = temp_path("mpas_flip_full.mpasmesh");
+  save_mesh(m, full);
+  std::ifstream in(full, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  std::remove(full.c_str());
+
+  const std::string flipped = temp_path("mpas_flip_one.mpasmesh");
+  // Every byte of the header and the first length words, then strided.
+  for (std::size_t at = 0; at < bytes.size(); at += at < 128 ? 1 : 23) {
+    std::string copy = bytes;
+    copy[at] = static_cast<char>(copy[at] ^ (1 << (at % 8)));
+    {
+      std::ofstream os(flipped, std::ios::binary);
+      os.write(copy.data(), static_cast<std::streamsize>(copy.size()));
+    }
+    EXPECT_THROW(load_mesh(flipped), Error) << "bit " << at % 8 << " of byte "
+                                            << at;
+  }
+  std::remove(flipped.c_str());
+}
+
 }  // namespace
 }  // namespace mpas::mesh

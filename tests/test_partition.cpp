@@ -2,6 +2,7 @@
 // orderings, and exchange-plan consistency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -206,6 +207,30 @@ TEST_F(HaloTest, HaloBytesArePositiveAndSurfaceLike) {
     const auto& lm = locals[0];
     EXPECT_LT(plan.recv_cell_count(), lm.num_owned_cells);
   }
+}
+
+TEST(Halo, LocalMeshesKeepTheirBoundaryEdgeIds) {
+  // Every local copy of a global boundary edge is listed, ascending, by its
+  // local id, so enforce_boundary_edge finds it on every rank.
+  mesh::VoronoiMesh global = mesh::build_icosahedral_voronoi_mesh(3);
+  global.boundary_edges = {0, 11, 200, global.num_edges - 1};
+  const Partition p = partition_cells_rcb(global, 3);
+  std::set<Index> seen;
+  for (int r = 0; r < 3; ++r) {
+    const LocalMesh lm = build_local_mesh(global, p, r);
+    std::vector<Index> want;
+    for (Index i = 0; i < lm.mesh.num_edges; ++i) {
+      const GlobalIndex ge = lm.mesh.global_edge_id[static_cast<std::size_t>(i)];
+      if (std::count(global.boundary_edges.begin(), global.boundary_edges.end(),
+                     ge) != 0) {
+        want.push_back(i);
+        if (i < lm.num_owned_edges) seen.insert(static_cast<Index>(ge));
+      }
+    }
+    EXPECT_EQ(lm.mesh.boundary_edges, want) << "rank " << r;
+  }
+  // Each boundary edge is owned by exactly one rank.
+  EXPECT_EQ(seen.size(), global.boundary_edges.size());
 }
 
 TEST(Halo, RequiresTwoLayers) {

@@ -194,8 +194,7 @@ TEST_F(SwKernelTest, LaplacianOfConstantIsZeroAndNegativeSemiDefinite) {
 TEST_F(SwKernelTest, EnforceBoundaryZerosMaskedEdges) {
   // Fake a boundary on a copy of the mesh.
   mesh::VoronoiMesh m = *mesh_;
-  m.boundary_edge[7] = 1;
-  m.boundary_edge[100] = 1;
+  m.boundary_edges = {7, 100};
   FieldStore f(m);
   auto tend_u = f.get(FieldId::TendU);
   for (Index e = 0; e < m.num_edges; ++e) tend_u[e] = 1.0;
@@ -204,6 +203,21 @@ TEST_F(SwKernelTest, EnforceBoundaryZerosMaskedEdges) {
   EXPECT_EQ(tend_u[7], 0.0);
   EXPECT_EQ(tend_u[100], 0.0);
   EXPECT_EQ(tend_u[8], 1.0);
+}
+
+TEST_F(SwKernelTest, EnforceBoundaryTouchesOnlyBoundaryEdgesInItsRange) {
+  mesh::VoronoiMesh m = *mesh_;
+  m.boundary_edges = {7, 100, 101, 500};
+  FieldStore f(m);
+  auto tend_u = f.get(FieldId::TendU);
+  for (Index e = 0; e < m.num_edges; ++e) tend_u[e] = 1.0;
+  SwContext c2{m, f, params, 0, 0};
+  enforce_boundary_edge(c2, 100, 500);  // a split node's share
+  for (Index e = 0; e < m.num_edges; ++e)
+    EXPECT_EQ(tend_u[e], e == 100 || e == 101 ? 0.0 : 1.0) << "edge " << e;
+  enforce_boundary_edge(c2, 500, m.num_edges);
+  EXPECT_EQ(tend_u[500], 0.0);
+  EXPECT_EQ(tend_u[7], 1.0);
 }
 
 TEST_F(SwKernelTest, UpdateKernelsImplementAxpy) {
