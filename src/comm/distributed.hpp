@@ -4,13 +4,21 @@
 // provisional state and of pv_edge at the sync points of Figure 4. Owned
 // values are bitwise identical to a serial run on the global mesh (tested),
 // because every kernel gathers the same inputs in the same order.
+//
+// The ranks compute concurrently: every per-rank phase between two halo
+// exchanges runs on a thread pool the integrator owns, and the exchanges
+// themselves run serially on the calling thread. A rank's compute touches
+// only its own FieldStore and LocalMesh, so values cross ranks only inside
+// the exchanges and the results do not depend on the thread count.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "comm/simworld.hpp"
+#include "exec/thread_pool.hpp"
 #include "partition/halo.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/health/monitor.hpp"
@@ -51,12 +59,6 @@ class DistributedSw {
   void step();
   void run(int steps);
 
-  /// Run `steps` steps with one thread per rank, exchanging halos through
-  /// the message fabric with blocking receives (true MPI-style concurrent
-  /// execution instead of the lockstep driver). Bitwise identical results
-  /// (tested): values only ever flow through the FIFO message queues.
-  void run_threaded(int steps);
-
   [[nodiscard]] int num_ranks() const { return world_->num_ranks(); }
   [[nodiscard]] const partition::LocalMesh& local_mesh(int rank) const {
     return locals_[static_cast<std::size_t>(rank)];
@@ -78,8 +80,7 @@ class DistributedSw {
   /// checkpoints every rank's full field state every `checkpoint_interval`
   /// steps, health-checks the state after every step, and rolls back and
   /// replays when the state is poisoned. Call before any exchange traffic
-  /// (i.e. before initialize()). `run_threaded` gets the message-level
-  /// detection/recovery; checkpoint/rollback is lockstep-only.
+  /// (i.e. before initialize()).
   void enable_resilience(const ResilienceOptions& options);
 
   [[nodiscard]] bool resilience_enabled() const {
@@ -96,7 +97,7 @@ class DistributedSw {
   /// plus injected stall seconds) and, when ranks end up quarantined,
   /// shrinks the world onto the survivors at the next step boundary. The
   /// caller may pre-track entities; untracked ranks are tracked on first
-  /// use. Lockstep run() only — run_threaded does not consult it.
+  /// use.
   void set_health_monitor(resilience::health::HealthMonitor* monitor);
 
   /// Override the fabric's fault injector. The SimWorld attaches the
@@ -118,10 +119,13 @@ class DistributedSw {
  private:
   struct Resilience;  // channel + checkpoint + counters (distributed.cpp)
 
+  /// Run `body(rank)` for every rank on the rank pool (the caller is one
+  /// of its participants), each inside a `distributed:rank` span tagged
+  /// with `phase`. Returns once every rank is done.
+  void for_each_rank(const char* phase, const std::function<void(int)>& body);
   void exchange(sw::FieldId field);
-  void exchange_rank(int rank, sw::FieldId field);  // threaded-mode variant
-  void step_rank(int rank);                         // one rank's full step
   void compute_diagnostics(int rank, sw::FieldId h_in, sw::FieldId u_in);
+  void reconstruct(int rank);
   void compute_tend(int rank, sw::FieldId h_in, sw::FieldId u_in);
 
   void run_resilient(int steps);
@@ -151,6 +155,9 @@ class DistributedSw {
   std::uint64_t health_generation_ = 0;
   std::vector<Real> stall_scratch_;  // per-rank stall seconds this step
   std::int64_t step_index_ = 0;
+  // Sized for the constructor's rank count; after shrink_to the surplus
+  // participants find no rank to take.
+  exec::ThreadPool pool_;
 };
 
 }  // namespace mpas::comm

@@ -1,13 +1,11 @@
 #include "comm/simworld.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <tuple>
 
 #include "obs/trace.hpp"
 #include "resilience/fault_env.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mpas::comm {
@@ -90,7 +88,6 @@ void SimWorld::send(int from, int to, int tag, std::vector<Real> payload) {
       enqueue_locked(key, std::move(payload));
     }
   }
-  cv_.notify_all();
 }
 
 std::vector<Real> SimWorld::recv(int to, int from, int tag) {
@@ -106,55 +103,6 @@ std::optional<std::vector<Real>> SimWorld::try_recv(int to, int from,
   util::LockGuard lock(mutex_);
   const auto it = queues_.find(Key{from, to, tag});
   if (it == queues_.end() || it->second.empty()) return std::nullopt;
-  std::vector<Real> payload = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) queues_.erase(it);
-  in_flight_ -= 1;
-  publish_depth_locked();
-  return payload;
-}
-
-std::vector<Real> SimWorld::recv_blocking(int to, int from, int tag,
-                                          int timeout_ms) {
-  timeout_ms = static_cast<int>(
-      resolve_timeout_ms(timeout_ms, "MPAS_RECV_TIMEOUT_MS", 30000));
-  const auto started = std::chrono::steady_clock::now();
-  const auto deadline = started + std::chrono::milliseconds(timeout_ms);
-  util::UniqueLock lock(mutex_);
-  const Key key{from, to, tag};
-  // Inline predicate loop (not wait_for with a lambda): the thread-safety
-  // analysis checks the queue access with mutex_ held.
-  bool arrived = false;
-  for (;;) {
-    const auto it = queues_.find(key);
-    if (it != queues_.end() && !it->second.empty()) {
-      arrived = true;
-      break;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    cv_.wait_until(lock, deadline);
-  }
-  if (!arrived) {
-    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - started);
-    std::ostringstream os;
-    os << "recv_blocking timed out waiting for " << from << " -> " << to
-       << " tag " << tag << " after " << waited.count()
-       << " ms (likely deadlock); pending queues: ";
-    if (queues_.empty()) {
-      os << "none";
-    } else {
-      bool first = true;
-      for (const auto& [k, q] : queues_) {
-        if (!first) os << ", ";
-        first = false;
-        os << k.from << " -> " << k.to << " tag " << k.tag << " x"
-           << q.size();
-      }
-    }
-    MPAS_FAIL(os.str());
-  }
-  auto it = queues_.find(key);
   std::vector<Real> payload = std::move(it->second.front());
   it->second.pop_front();
   if (it->second.empty()) queues_.erase(it);

@@ -1,7 +1,8 @@
 // In-process message-passing fabric: the MPI substitute (see DESIGN.md).
 //
 // Ranks are partition-local model instances driven in lockstep inside one
-// process. Messages are explicit typed buffers matched by (source,
+// process: their compute phases run concurrently, and every exchange is
+// posted and drained by one thread between them. Messages are explicit typed buffers matched by (source,
 // destination, tag) in FIFO order — the same structure an MPI halo exchange
 // has, so exchange volume and message counts are measured for real; only
 // the wire time is modeled (machine::Network).
@@ -46,14 +47,6 @@ class SimWorld {
   /// Non-throwing FIFO-matched receive: nullopt if nothing is queued.
   std::optional<std::vector<Real>> try_recv(int to, int from, int tag);
 
-  /// Blocking FIFO-matched receive (MPI_Recv-like) for the threaded
-  /// driver: waits until a matching message arrives. Throws after the
-  /// timeout (deadlock guard) with the endpoint, the wait duration, and a
-  /// summary of every pending queue. `timeout_ms < 0` (the default) means
-  /// "the MPAS_RECV_TIMEOUT_MS environment variable, else 30000 ms".
-  std::vector<Real> recv_blocking(int to, int from, int tag,
-                                  int timeout_ms = -1);
-
   /// True if any message is still queued (catches protocol bugs in tests).
   /// Messages held back by an injected delay fault are in flight on a slow
   /// wire, not queued, and are not counted.
@@ -97,7 +90,6 @@ class SimWorld {
   std::int64_t in_flight_ MPAS_GUARDED_BY(mutex_) = 0;
   obs::Gauge* depth_gauge_ = nullptr;  // resolved once in the constructor
   mutable util::Mutex mutex_{"comm.simworld", util::lockrank::kSimWorld};
-  util::ConditionVariable cv_;
   std::map<Key, std::deque<std::vector<Real>>> queues_
       MPAS_GUARDED_BY(mutex_);
   // Messages held back by a delay fault; delivered ahead of the next send

@@ -133,10 +133,4 @@ void ThreadPool::wait_idle() {
   while (current_ != nullptr) cv_done_.wait(lock);
 }
 
-ThreadPool& host_pool() {
-  static ThreadPool pool(
-      std::max(0, static_cast<int>(std::thread::hardware_concurrency()) - 1));
-  return pool;
-}
-
 }  // namespace mpas::exec

@@ -90,7 +90,4 @@ class ThreadPool {
   std::exception_ptr error_ MPAS_GUARDED_BY(error_mutex_);
 };
 
-/// Shared host pool sized to the hardware (never more than needed).
-ThreadPool& host_pool();
-
 }  // namespace mpas::exec

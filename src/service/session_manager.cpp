@@ -538,7 +538,9 @@ void SessionManager::finish_locked(Record& rec, SessionState state,
   // Black-box dump decision: terminal failure, quarantine involvement, or
   // dump-everything mode. The ring stays silent for healthy sessions. Only
   // the *decision* happens here — writing the file is I/O, which must not
-  // run under mutex_, so the dump is queued for flush_flight_dumps().
+  // run under mutex_, so the dump (owning the recorder) is queued for
+  // flush_flight_dumps(). Either way the record lets go of its recorder:
+  // a finished session keeps only its SessionResult.
   if (rec.flight != nullptr) {
     rec.flight->record(telemetry::FlightKind::Terminal, -1,
                        std::string(to_string(state)) + ": " +
@@ -559,11 +561,12 @@ void SessionManager::finish_locked(Record& rec, SessionState state,
                                   : quarantine_involved ? "quarantine"
                                                         : "all";
       pending_dumps_.push_back(
-          {rec.flight.get(), flight_dump_.dir,
+          {std::move(rec.flight), flight_dump_.dir,
            flight_dump_.dir + "/flight_session" +
                std::to_string(rec.result.id) + ".json",
            rec.result.id, rec.result.tenant, trigger});
     }
+    rec.flight.reset();
   }
 
   publish_locked();
@@ -723,6 +726,13 @@ ServiceStats SessionManager::stats() const {
 std::size_t SessionManager::queue_depth() const {
   const util::LockGuard lock(mutex_);
   return queue_.size();
+}
+
+std::size_t SessionManager::flight_recorders_held() const {
+  const util::LockGuard lock(mutex_);
+  return static_cast<std::size_t>(
+      std::count_if(records_.begin(), records_.end(),
+                    [](const auto& kv) { return kv.second->flight != nullptr; }));
 }
 
 Real SessionManager::tenant_budget(const std::string& tenant) const {

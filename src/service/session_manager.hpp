@@ -124,6 +124,9 @@ class SessionManager {
   [[nodiscard]] std::vector<SessionResult> results() const;
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
+  /// Sessions still holding a flight recorder: only non-terminal ones do,
+  /// so this stays bounded by the live work, not by the sessions served.
+  [[nodiscard]] std::size_t flight_recorders_held() const;
   [[nodiscard]] const CostModel& costs() const { return costs_; }
   [[nodiscard]] Real tenant_budget(const std::string& tenant) const;
   /// The per-tenant SLO windows (rolling attainment / burn rates).
@@ -145,8 +148,10 @@ class SessionManager {
     SessionResult result;
     std::atomic<bool> cancel{false};
     bool borrowed = false;
-    /// Black box (admitted sessions only). unique_ptr: the recorder must
-    /// stay addressable by a running session while records_ rebalances.
+    /// Black box (admitted sessions only), freed when the session goes
+    /// terminal — handed to its PendingDump first when one is due.
+    /// unique_ptr: the recorder must stay addressable by a running session
+    /// while records_ rebalances.
     std::unique_ptr<obs::telemetry::FlightRecorder> flight;
     /// Crash-recovery restore point (recovered sessions only).
     std::optional<ResumeState> resume;
@@ -158,11 +163,10 @@ class SessionManager {
 
   /// A flight-recorder dump decided under the lock but executed after it:
   /// directory creation and the JSON write are file I/O, which must never
-  /// run under mutex_ (the concurrency lint enforces this). The recorder
-  /// pointer stays valid because records_ holds the owning unique_ptr for
-  /// the manager's whole lifetime.
+  /// run under mutex_ (the concurrency lint enforces this). The dump owns
+  /// the terminal session's recorder, which dies once it is written.
   struct PendingDump {
-    obs::telemetry::FlightRecorder* flight = nullptr;
+    std::unique_ptr<obs::telemetry::FlightRecorder> flight;
     std::string dir;
     std::string path;
     std::uint64_t id = 0;

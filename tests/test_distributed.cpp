@@ -4,12 +4,13 @@
 // order. Plus message-fabric semantics.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
+#include <string>
+#include <tuple>
 
 #include "comm/distributed.hpp"
 #include "mesh/mesh_cache.hpp"
 #include "sw/invariants.hpp"
+#include "sw/model.hpp"
 #include "sw/reference.hpp"
 
 namespace mpas::comm {
@@ -128,79 +129,47 @@ TEST(DistributedSw, DiffusionPathMatchesSerial) {
     ASSERT_EQ(h[static_cast<std::size_t>(c)], ref[c]);
 }
 
-TEST(DistributedSw, ThreadedExecutionMatchesLockstepBitwise) {
-  // True concurrent ranks (one thread each, blocking receives) must agree
-  // with both the lockstep driver and the serial reference, bitwise.
+// The ranks' compute phases run concurrently on the integrator's pool; at
+// 7 ranks there are more ranks than pool participants on a 4-way host, so
+// participants take several ranks per phase. Either way run() must land
+// bitwise on a serial SwModel on the global mesh.
+class RankParallelVsSwModel
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(RankParallelVsSwModel, GatheredStateMatchesSerialBitwise) {
+  const auto [ranks, case_id] = GetParam();
   const auto mesh = mesh::get_global_mesh(3);
-  const auto tc = sw::make_test_case(6);
+  const auto tc = sw::make_test_case(case_id);
   sw::SwParams params;
   params.dt = sw::suggested_time_step(*tc, *mesh, 0.4);
   const int steps = 4;
 
-  DistributedSw lockstep(*mesh, 4, params);
-  lockstep.apply_test_case(*tc);
-  lockstep.initialize();
-  lockstep.run(steps);
+  sw::SwModel serial(*mesh, params);
+  sw::apply_initial_conditions(*tc, *mesh, serial.fields());
+  serial.initialize();
+  serial.run(steps);
 
-  DistributedSw threaded(*mesh, 4, params);
-  threaded.apply_test_case(*tc);
-  threaded.initialize();
-  threaded.run_threaded(steps);
+  DistributedSw dist(*mesh, ranks, params);
+  dist.apply_test_case(*tc);
+  dist.initialize();
+  dist.run(steps);
 
-  const auto h_l = lockstep.gather_global(FieldId::H);
-  const auto h_t = threaded.gather_global(FieldId::H);
-  const auto u_l = lockstep.gather_global(FieldId::U);
-  const auto u_t = threaded.gather_global(FieldId::U);
-  for (std::size_t i = 0; i < h_l.size(); ++i) ASSERT_EQ(h_l[i], h_t[i]);
-  for (std::size_t i = 0; i < u_l.size(); ++i) ASSERT_EQ(u_l[i], u_t[i]);
-}
-
-TEST(SimWorld, BlockingRecvWaitsForSender) {
-  SimWorld w(2);
-  std::thread sender([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    w.send(0, 1, 3, {42.0});
-  });
-  const auto msg = w.recv_blocking(1, 0, 3);
-  sender.join();
-  ASSERT_EQ(msg.size(), 1u);
-  EXPECT_EQ(msg[0], 42.0);
-}
-
-TEST(SimWorld, BlockingRecvTimesOut) {
-  SimWorld w(2);
-  EXPECT_THROW(static_cast<void>(w.recv_blocking(1, 0, 3, 50)), Error);
-}
-
-TEST(SimWorld, BlockingRecvTimeoutNamesEndpointWaitAndQueues) {
-  // The timeout is the deadlock diagnostic: it must say who was waiting
-  // for whom, for how long, and what *is* queued — enough to debug a hung
-  // exchange from the message alone.
-  SimWorld w(3);
-  w.send(2, 1, 9, {1.0});  // unrelated traffic, must show up in the summary
-  try {
-    static_cast<void>(w.recv_blocking(1, 0, 3, 50));
-    FAIL() << "expected timeout";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("0 -> 1 tag 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("ms"), std::string::npos) << what;
-    EXPECT_NE(what.find("pending queues"), std::string::npos) << what;
-    EXPECT_NE(what.find("2 -> 1 tag 9 x1"), std::string::npos) << what;
+  for (const FieldId id : {FieldId::H, FieldId::U}) {
+    const auto got = dist.gather_global(id);
+    const auto want = serial.fields().get(id);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << sw::field_info(id).name << "[" << i << "]";
   }
 }
 
-TEST(SimWorld, BlockingRecvTimeoutReportsEmptyQueues) {
-  SimWorld w(2);
-  try {
-    static_cast<void>(w.recv_blocking(1, 0, 3, 50));
-    FAIL() << "expected timeout";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("pending queues: none"),
-              std::string::npos)
-        << e.what();
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndCases, RankParallelVsSwModel,
+    ::testing::Combine(::testing::Values(1, 4, 7), ::testing::Values(2, 5, 6)),
+    [](const auto& info) {
+      return "R" + std::to_string(std::get<0>(info.param)) + "_TC" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(SimWorld, PendingSummaryListsQueues) {
   SimWorld w(3);

@@ -355,15 +355,32 @@ TEST(TraceSession, FileRoundTripThroughTwoRankDistributedRun) {
   ASSERT_FALSE(events.empty());
 
   int halo_spans = 0, step_spans = 0;
+  std::map<std::string, int> rank_spans;  // "<rank>:<phase>" -> count
   for (const auto& e : events) {
     const std::string& name = e.at("name").as_string();
     if (name.rfind("halo:", 0) == 0 && e.at("ph").as_string() == "X")
       ++halo_spans;
     if (name == "distributed:step") ++step_spans;
+    if (name == "distributed:rank") {
+      const auto& args = e.at("args");
+      rank_spans[std::to_string(static_cast<int>(
+                     args.at("rank").as_number())) +
+                 ":" + args.at("phase").as_string()] += 1;
+    }
   }
   // 2 steps x 4 substeps x 2 ranks x several fields each.
   EXPECT_GT(halo_spans, 8);
   EXPECT_EQ(step_spans, 2);
+  // Every rank's share of every phase: the test case, initialize's
+  // diagnostics, and per step three tend+update, one tend+commit and four
+  // diagnostics phases.
+  for (const std::string rank : {"0", "1"}) {
+    EXPECT_EQ(rank_spans[rank + ":apply_test_case"], 1) << rank;
+    EXPECT_EQ(rank_spans[rank + ":tend+update"], 6) << rank;
+    EXPECT_EQ(rank_spans[rank + ":tend+commit"], 2) << rank;
+    EXPECT_EQ(rank_spans[rank + ":diagnostics"], 9) << rank;
+  }
+  EXPECT_EQ(rank_spans.size(), 8u);
 
   TraceRecorder::global().clear();
   std::remove(path.c_str());

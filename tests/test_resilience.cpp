@@ -570,9 +570,9 @@ TEST_F(ResilientRun, FaultFreeOverheadPathIsBitwiseClean) {
             0u);
 }
 
-TEST_F(ResilientRun, ThreadedRunRecoversFromMessageFaults) {
-  // One thread per rank, blocking receives, with drops and corruption on
-  // the wire: message-level recovery must still land bitwise on the
+TEST_F(ResilientRun, RankParallelRunRecoversFromMessageFaults) {
+  // The ranks' compute phases run concurrently, with drops and corruption
+  // on the wire: message-level recovery must still land bitwise on the
   // fault-free trajectory (and, under TSan/ASan, prove the locking sound).
   const auto truth = fault_free_run(mesh, kRanks, *tc, params, kSteps);
 
@@ -590,7 +590,7 @@ TEST_F(ResilientRun, ThreadedRunRecoversFromMessageFaults) {
   comm::ResilienceOptions opts;
   opts.injector = &inj;
   auto d = make_distributed(mesh, kRanks, *tc, params, &opts);
-  d->run_threaded(kSteps);
+  d->run(kSteps);
 
   expect_bitwise_equal(gather_state(*d), truth);
   EXPECT_TRUE(inj.exhausted());

@@ -496,5 +496,43 @@ TEST(SessionManager, FailureDumpsTheFlightRecorder) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SessionManager, FinishedSessionsLetGoOfTheirFlightRecorders) {
+  // A finished record keeps its SessionResult but not its recorder (each
+  // reserves a ring of events), so memory does not grow with the number
+  // of sessions served — and a session whose dump is due still writes it.
+  const std::string dir = "test_flight_release";
+  std::filesystem::remove_all(dir);
+  ServiceOptions opts = small_service(1);
+  opts.flight_dump = obs::telemetry::FlightDumpPolicy::parse(dir);
+  SessionManager service(opts);
+
+  service.set_paused(true);
+  const auto ok_id = service.submit(small_request("fine"));
+  SessionRequest doomed = small_request("doomed");
+  doomed.chaos.fail_first_attempts = 100;
+  const auto bad_id = service.submit(doomed);
+  EXPECT_EQ(service.flight_recorders_held(), 2u);  // queued: still live
+
+  service.set_paused(false);
+  ASSERT_TRUE(service.drain());
+  ASSERT_EQ(service.result(ok_id).state, SessionState::Completed);
+  ASSERT_EQ(service.result(bad_id).state, SessionState::Failed);
+  EXPECT_EQ(service.flight_recorders_held(), 0u);
+
+  EXPECT_EQ(service.stats().flight_dumps, 1u);
+  std::ifstream in(dir + "/flight_session" + std::to_string(bad_id) +
+                   ".json");
+  ASSERT_TRUE(in.good());
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto doc = obs::json::parse(text);
+  EXPECT_EQ(doc.at("trigger").as_string(), "failure");
+  std::map<std::string, int> kinds;
+  for (const auto& e : doc.at("events").as_array())
+    kinds[e.at("kind").as_string()] += 1;
+  EXPECT_EQ(kinds["terminal"], 1);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace mpas::service
